@@ -134,12 +134,12 @@ func BenchmarkHeapTrace(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i%100 == 0 {
-			if err := h.AddRoot(obj.ID); err != nil {
+			if err := h.AddRoot(obj); err != nil {
 				b.Fatal(err)
 			}
 			prev = obj
 		} else if prev != nil {
-			if err := h.Link(prev.ID, obj.ID); err != nil {
+			if err := h.Link(prev, obj); err != nil {
 				b.Fatal(err)
 			}
 			prev = obj

@@ -363,6 +363,6 @@ func showSnapshots(w io.Writer, dir string) error {
 			len(s.Regions), len(s.Pages), len(s.NoNeed),
 			float64(s.SizeBytes)/(1<<20), s.Duration.Round(time.Millisecond))
 	}
-	fmt.Fprintf(w, "reconstructed live view after last snapshot: %d objects\n", len(store.LiveIDs()))
+	fmt.Fprintf(w, "reconstructed live view after last snapshot: %d objects\n", store.Len())
 	return nil
 }

@@ -138,7 +138,7 @@ func verifySnapshots(w io.Writer, dir string) (bool, error) {
 			}
 		}
 		fmt.Fprintf(w, "replay: ok, %d live objects after seq %d\n",
-			len(store.LiveIDs()), snaps[len(snaps)-1].Seq)
+			store.Len(), snaps[len(snaps)-1].Seq)
 	}
 	return sal.Clean(), nil
 }

@@ -2,7 +2,7 @@ package analyzer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"polm2/internal/heap"
 	"polm2/internal/jvm"
@@ -208,12 +208,7 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options, degraded m
 	}
 
 	// Per-site evidence for diagnostics and Table 1.
-	ids := make([]heap.SiteID, 0, len(evidence))
-	for id := range evidence {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range sortedSites(evidence) {
 		ev := evidence[id]
 		p.Sites = append(p.Sites, SiteStat{
 			Trace:     ev.trace.String(),
@@ -235,14 +230,13 @@ func synthesize(evidence map[heap.SiteID]*siteEvidence, opts Options, degraded m
 // non-conflicted leaves under n (n included) and whether the subtree holds
 // any conflicted leaf.
 func subtreeSummary(n *Node, conflicted map[*Node]bool) (gens []int, hasConflict bool) {
-	set := make(map[int]struct{})
 	var walk func(m *Node)
 	walk = func(m *Node) {
 		if m.IsLeaf {
 			if conflicted[m] {
 				hasConflict = true
 			} else if m.Gen > 0 {
-				set[m.Gen] = struct{}{}
+				gens = append(gens, m.Gen)
 			}
 		}
 		for _, c := range m.children {
@@ -250,11 +244,8 @@ func subtreeSummary(n *Node, conflicted map[*Node]bool) (gens []int, hasConflict
 		}
 	}
 	walk(n)
-	for g := range set {
-		gens = append(gens, g)
-	}
-	sort.Ints(gens)
-	return gens, hasConflict
+	slices.Sort(gens)
+	return slices.Compact(gens), hasConflict
 }
 
 // markAnnotated annotates every instrumentable leaf location under n.
@@ -283,20 +274,17 @@ func clusterGenerations(gens map[heap.SiteID]int, gap int) {
 	if gap < 0 {
 		return
 	}
-	distinct := make(map[int]struct{})
+	var sorted []int
 	for _, g := range gens {
 		if g > 0 {
-			distinct[g] = struct{}{}
+			sorted = append(sorted, g)
 		}
 	}
-	if len(distinct) == 0 {
+	if len(sorted) == 0 {
 		return
 	}
-	sorted := make([]int, 0, len(distinct))
-	for g := range distinct {
-		sorted = append(sorted, g)
-	}
-	sort.Ints(sorted)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
 	remap := make(map[int]int, len(sorted))
 	cluster := 1
 	remap[sorted[0]] = cluster

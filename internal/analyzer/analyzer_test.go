@@ -58,7 +58,7 @@ func profileRun(t *testing.T, iterations int) (string, []func() error, *dumper.D
 			t.Fatal(err)
 		}
 		th.Return()
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 		kept = append(kept, obj)

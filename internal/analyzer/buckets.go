@@ -2,7 +2,7 @@ package analyzer
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"polm2/internal/heap"
 	"polm2/internal/jvm"
@@ -27,6 +27,8 @@ const (
 type siteEvidence struct {
 	id    heap.SiteID
 	trace jvm.StackTrace
+	// recorded holds the site's object ids until the replay indexes them.
+	recorded []heap.ObjectID
 	// survived[k] counts objects seen live in exactly k snapshots.
 	survived []uint64
 	total    uint64
@@ -51,64 +53,88 @@ func gatherEvidence(recordsDir string, snaps []*snapshot.Snapshot) (map[heap.Sit
 	}
 
 	evidence := make(map[heap.SiteID]*siteEvidence, len(table))
-	idSite := make(map[heap.ObjectID]heap.SiteID)
 	for _, sid := range sortedSites(table) {
 		ids, err := recorder.ReadIDs(recordsDir, sid)
 		if err != nil {
 			return nil, err
 		}
-		addSiteEvidence(evidence, idSite, sid, table[sid], ids)
+		addSiteEvidence(evidence, sid, table[sid], ids)
 	}
-	if err := replaySnapshots(evidence, idSite, snaps); err != nil {
+	if err := replaySnapshots(evidence, snaps); err != nil {
 		return nil, err
 	}
 	return evidence, nil
 }
 
-// sortedSites returns the table's site ids in ascending order.
-func sortedSites(table map[heap.SiteID]jvm.StackTrace) []heap.SiteID {
-	siteIDs := make([]heap.SiteID, 0, len(table))
-	for id := range table {
-		siteIDs = append(siteIDs, id)
+// sortedSites returns the map's site ids in ascending order.
+func sortedSites[V any](m map[heap.SiteID]V) []heap.SiteID {
+	ids := make([]heap.SiteID, 0, len(m))
+	for id := range m {
+		ids = append(ids, id)
 	}
-	sort.Slice(siteIDs, func(i, j int) bool { return siteIDs[i] < siteIDs[j] })
-	return siteIDs
+	slices.Sort(ids)
+	return ids
 }
 
 // addSiteEvidence registers one site's recorded ids.
-func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, idSite map[heap.ObjectID]heap.SiteID, sid heap.SiteID, trace jvm.StackTrace, ids []heap.ObjectID) {
-	evidence[sid] = &siteEvidence{id: sid, trace: trace, total: uint64(len(ids))}
-	for _, oid := range ids {
-		idSite[oid] = sid
-	}
+func addSiteEvidence(evidence map[heap.SiteID]*siteEvidence, sid heap.SiteID, trace jvm.StackTrace, ids []heap.ObjectID) {
+	evidence[sid] = &siteEvidence{id: sid, trace: trace, total: uint64(len(ids)), recorded: ids}
 }
 
-// replaySnapshots replays the snapshot sequence through the store, counting
-// how many snapshots each recorded object appears in, and fills every
-// site's survival buckets.
-func replaySnapshots(evidence map[heap.SiteID]*siteEvidence, idSite map[heap.ObjectID]heap.SiteID, snaps []*snapshot.Snapshot) error {
-	idSurvived := make(map[heap.ObjectID]int)
-	store := snapshot.NewStore()
-	ordered := make([]*snapshot.Snapshot, len(snaps))
-	copy(ordered, snaps)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Seq < ordered[j].Seq })
+// replaySnapshots replays the snapshot sequence, counting how many
+// snapshots each recorded object appears in, and fills every site's
+// survival buckets. Survivals are credited per page as it leaves the view
+// (DESIGN.md §4): the same count as walking the view after every snapshot,
+// for O(captured ids) work. An id several sites recorded belongs to the
+// last of them in ascending site order.
+func replaySnapshots(evidence map[heap.SiteID]*siteEvidence, snaps []*snapshot.Snapshot) error {
+	sids := sortedSites(evidence)
+	n := 0
+	for _, sid := range sids {
+		n += len(evidence[sid].recorded)
+	}
+	slot := make(map[heap.ObjectID]int32, n)
+	site := make([]heap.SiteID, 0, n)
+	for _, sid := range sids {
+		ev := evidence[sid]
+		for _, oid := range ev.recorded {
+			if i, ok := slot[oid]; ok {
+				site[i] = sid
+				continue
+			}
+			slot[oid] = int32(len(site))
+			site = append(site, sid)
+		}
+		ev.recorded = nil
+	}
+
+	survived := make([]int32, len(site))
+	store := snapshot.NewCreditStore(func(ids []heap.ObjectID, snapshots int) {
+		for _, oid := range ids {
+			if i, ok := slot[oid]; ok {
+				survived[i] += int32(snapshots)
+			}
+		}
+	})
+	ordered := slices.Clone(snaps)
+	slices.SortFunc(ordered, func(a, b *snapshot.Snapshot) int { return a.Seq - b.Seq })
 	for _, snap := range ordered {
 		if err := store.Apply(snap); err != nil {
 			return fmt.Errorf("analyzer: replaying snapshots: %w", err)
 		}
-		store.ForEach(func(oid heap.ObjectID) {
-			if _, recorded := idSite[oid]; recorded {
-				idSurvived[oid]++
-			}
-		})
 	}
+	store.Drain()
 
+	// An id on two pages of one view counts twice for that snapshot.
 	maxBucket := len(ordered)
+	for _, k := range survived {
+		maxBucket = max(maxBucket, int(k))
+	}
 	for _, ev := range evidence {
 		ev.survived = make([]uint64, maxBucket+1)
 	}
-	for oid, sid := range idSite {
-		evidence[sid].survived[idSurvived[oid]]++
+	for i, sid := range site {
+		evidence[sid].survived[survived[i]]++
 	}
 	return nil
 }

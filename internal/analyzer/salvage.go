@@ -99,7 +99,6 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 	rep.Table = tsal
 
 	evidence := make(map[heap.SiteID]*siteEvidence, len(table))
-	idSite := make(map[heap.ObjectID]heap.SiteID)
 	degraded := make(map[heap.SiteID]bool)
 	for _, sid := range sortedSites(table) {
 		ids, sal, err := recorder.SalvageIDs(recordsDir, sid)
@@ -110,7 +109,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 			rep.DegradedSites++
 			continue
 		}
-		addSiteEvidence(evidence, idSite, sid, table[sid], ids)
+		addSiteEvidence(evidence, sid, table[sid], ids)
 		if sal.LostBytes == 0 {
 			// Fully decoded — a live stream missing only its commit
 			// trailer is not damage.
@@ -129,7 +128,7 @@ func AnalyzeSalvage(recordsDir string, snaps []*snapshot.Snapshot, opts Options)
 		rep.Sites = append(rep.Sites, loss)
 	}
 
-	if err := replaySnapshots(evidence, idSite, snaps); err != nil {
+	if err := replaySnapshots(evidence, snaps); err != nil {
 		return nil, rep, err
 	}
 	prof, err := synthesize(evidence, opts, degraded)

@@ -239,7 +239,7 @@ func (s *state) sessionState() error {
 		return err
 	}
 	if s.rnd.Float64() < sessionKeep {
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			return err
 		}
 		jitter := time.Duration(s.rnd.Float64() * float64(sessionTTL))
@@ -249,7 +249,7 @@ func (s *state) sessionState() error {
 	for len(s.sessions) > 0 && s.sessions[0].expiry <= now {
 		victim := s.sessions[0]
 		s.sessions = s.sessions[1:]
-		if err := h.RemoveRoot(victim.obj.ID); err != nil {
+		if err := h.RemoveRoot(victim.obj); err != nil {
 			return err
 		}
 	}
@@ -265,7 +265,7 @@ func (s *state) newMemtable() error {
 	if err != nil {
 		return err
 	}
-	if err := s.env.Heap().AddRoot(obj.ID); err != nil {
+	if err := s.env.Heap().AddRoot(obj); err != nil {
 		return err
 	}
 	s.memtable = obj
@@ -282,7 +282,7 @@ func (s *state) newSegment() error {
 	if err != nil {
 		return err
 	}
-	if err := s.env.Heap().AddRoot(obj.ID); err != nil {
+	if err := s.env.Heap().AddRoot(obj); err != nil {
 		return err
 	}
 	s.segments = append(s.segments, obj)
@@ -328,13 +328,13 @@ func (s *state) write() error {
 		return err
 	}
 	th.Return()
-	if err := h.Link(s.memtable.ID, row.ID); err != nil {
+	if err := h.Link(s.memtable, row); err != nil {
 		return err
 	}
-	if err := h.Link(row.ID, cell.ID); err != nil {
+	if err := h.Link(row, cell); err != nil {
 		return err
 	}
-	if err := h.Link(s.memtable.ID, idx.ID); err != nil {
+	if err := h.Link(s.memtable, idx); err != nil {
 		return err
 	}
 	s.memtableBytes += uint64(cell.Size) + uint64(row.Size) + uint64(idx.Size)
@@ -385,11 +385,11 @@ func (s *state) flush() error {
 	th.Return()
 	th.Return()
 
-	if err := h.AddRoot(holder.ID); err != nil {
+	if err := h.AddRoot(holder); err != nil {
 		return err
 	}
 	for _, part := range []*heap.Object{bloom, summary, keyIndex} {
-		if err := h.Link(holder.ID, part.ID); err != nil {
+		if err := h.Link(holder, part); err != nil {
 			return err
 		}
 	}
@@ -398,11 +398,11 @@ func (s *state) flush() error {
 	s.lastFlush = s.env.Now()
 
 	// The old memtable and its commit-log segments die here, en masse.
-	if err := h.RemoveRoot(s.memtable.ID); err != nil {
+	if err := h.RemoveRoot(s.memtable); err != nil {
 		return err
 	}
 	for _, seg := range s.segments {
-		if err := h.RemoveRoot(seg.ID); err != nil {
+		if err := h.RemoveRoot(seg); err != nil {
 			return err
 		}
 	}
@@ -429,7 +429,7 @@ func (s *state) compact() error {
 	if err != nil {
 		return err
 	}
-	if err := h.AddRoot(merged.ID); err != nil {
+	if err := h.AddRoot(merged); err != nil {
 		return err
 	}
 	for i := 0; i < 3; i++ {
@@ -437,7 +437,7 @@ func (s *state) compact() error {
 		if err != nil {
 			return err
 		}
-		if err := h.Link(merged.ID, meta.ID); err != nil {
+		if err := h.Link(merged, meta); err != nil {
 			return err
 		}
 	}
@@ -452,7 +452,7 @@ func (s *state) compact() error {
 	th.Return()
 
 	for _, old := range s.sstables {
-		if err := h.RemoveRoot(old.ID); err != nil {
+		if err := h.RemoveRoot(old); err != nil {
 			return err
 		}
 	}
@@ -495,14 +495,14 @@ func (s *state) read() error {
 		if err != nil {
 			return err
 		}
-		if err := h.AddRoot(tomb.ID); err != nil {
+		if err := h.AddRoot(tomb); err != nil {
 			return err
 		}
 		s.tombstones = append(s.tombstones, tomb)
 		if len(s.tombstones) > tombstoneCapacity {
 			victim := s.tombstones[0]
 			s.tombstones = s.tombstones[1:]
-			if err := h.RemoveRoot(victim.ID); err != nil {
+			if err := h.RemoveRoot(victim); err != nil {
 				return err
 			}
 		}
@@ -520,10 +520,10 @@ func (s *state) read() error {
 			return err
 		}
 		th.Return()
-		if err := h.AddRoot(entry.ID); err != nil {
+		if err := h.AddRoot(entry); err != nil {
 			return err
 		}
-		if err := h.Link(entry.ID, value.ID); err != nil {
+		if err := h.Link(entry, value); err != nil {
 			return err
 		}
 		s.cache = append(s.cache, cacheEntry{obj: entry, expiry: s.env.Now() + cacheTTL})
@@ -534,7 +534,7 @@ func (s *state) read() error {
 	for len(s.cache) > 0 && s.cache[0].expiry <= now {
 		victim := s.cache[0]
 		s.cache = s.cache[1:]
-		if err := h.RemoveRoot(victim.obj.ID); err != nil {
+		if err := h.RemoveRoot(victim.obj); err != nil {
 			return err
 		}
 	}

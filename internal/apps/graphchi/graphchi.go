@@ -143,7 +143,7 @@ func (a *App) Run(env *core.Env, workloadName string) error {
 			}
 		}
 		// The interval ends: the whole batch dies en masse.
-		if err := env.Heap().RemoveRoot(batch.ID); err != nil {
+		if err := env.Heap().RemoveRoot(batch); err != nil {
 			return err
 		}
 		th.ReleaseLocals()
@@ -163,7 +163,7 @@ func loadBatch(env *core.Env, th *jvm.Thread, rnd *workload.Rand, p workloadPara
 	if err != nil {
 		return nil, 0, err
 	}
-	if err := h.AddRoot(holder.ID); err != nil {
+	if err := h.AddRoot(holder); err != nil {
 		return nil, 0, err
 	}
 
@@ -191,7 +191,7 @@ func loadBatch(env *core.Env, th *jvm.Thread, rnd *workload.Rand, p workloadPara
 			if err != nil {
 				return nil, 0, err
 			}
-			if err := h.Link(holder.ID, chunk.ID); err != nil {
+			if err := h.Link(holder, chunk); err != nil {
 				return nil, 0, err
 			}
 			chunks++
@@ -228,14 +228,14 @@ func computeSweep(env *core.Env, th *jvm.Thread, rnd *workload.Rand, chunks int,
 			return err
 		}
 		if rnd.Float64() < memoKeep {
-			if err := h.AddRoot(memo.ID); err != nil {
+			if err := h.AddRoot(memo); err != nil {
 				return err
 			}
 			*memos = append(*memos, memo)
 			if len(*memos) > memoQueue {
 				victim := (*memos)[0]
 				*memos = (*memos)[1:]
-				if err := h.RemoveRoot(victim.ID); err != nil {
+				if err := h.RemoveRoot(victim); err != nil {
 					return err
 				}
 			}

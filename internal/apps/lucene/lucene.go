@@ -164,7 +164,7 @@ func (s *state) newSegment() error {
 	if err != nil {
 		return err
 	}
-	if err := s.env.Heap().AddRoot(obj.ID); err != nil {
+	if err := s.env.Heap().AddRoot(obj); err != nil {
 		return err
 	}
 	s.segment = obj
@@ -206,10 +206,10 @@ func (s *state) update() error {
 	}
 	th.Return()
 
-	if err := h.Link(s.segment.ID, postings.ID); err != nil {
+	if err := h.Link(s.segment, postings); err != nil {
 		return err
 	}
-	if err := h.Link(s.segment.ID, docBuf.ID); err != nil {
+	if err := h.Link(s.segment, docBuf); err != nil {
 		return err
 	}
 
@@ -220,7 +220,7 @@ func (s *state) update() error {
 		return err
 	}
 	if s.rnd.Float64() < recentDocKeep {
-		if err := h.AddRoot(entry.ID); err != nil {
+		if err := h.AddRoot(entry); err != nil {
 			return err
 		}
 		s.recent = append(s.recent, ttlEntry{obj: entry, expiry: s.env.Now() + recentDocTTL})
@@ -229,7 +229,7 @@ func (s *state) update() error {
 	for len(s.recent) > 0 && s.recent[0].expiry <= now {
 		victim := s.recent[0]
 		s.recent = s.recent[1:]
-		if err := h.RemoveRoot(victim.obj.ID); err != nil {
+		if err := h.RemoveRoot(victim.obj); err != nil {
 			return err
 		}
 	}
@@ -280,7 +280,7 @@ func (s *state) merge() error {
 		{18, bloomSize},
 		{20, segMetaSize},
 	}
-	if err := h.AddRoot(holder.ID); err != nil {
+	if err := h.AddRoot(holder); err != nil {
 		return err
 	}
 	for _, part := range parts {
@@ -288,7 +288,7 @@ func (s *state) merge() error {
 		if err != nil {
 			return err
 		}
-		if err := h.Link(holder.ID, obj.ID); err != nil {
+		if err := h.Link(holder, obj); err != nil {
 			return err
 		}
 	}
@@ -296,13 +296,13 @@ func (s *state) merge() error {
 
 	// The merged-away segments die here, en masse.
 	for _, seg := range s.flushed {
-		if err := h.RemoveRoot(seg.ID); err != nil {
+		if err := h.RemoveRoot(seg); err != nil {
 			return err
 		}
 	}
 	s.flushed = s.flushed[:0]
 	if s.merged != nil {
-		if err := h.RemoveRoot(s.merged.ID); err != nil {
+		if err := h.RemoveRoot(s.merged); err != nil {
 			return err
 		}
 	}

@@ -43,12 +43,12 @@ func (*stubApp) Run(env *Env, workloadName string) error {
 		if err != nil {
 			return err
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			return err
 		}
 		retained = append(retained, retainedEntry{obj: obj, expiry: env.Now() + 40*time.Second})
 		for len(retained) > 0 && retained[0].expiry <= env.Now() {
-			if err := h.RemoveRoot(retained[0].obj.ID); err != nil {
+			if err := h.RemoveRoot(retained[0].obj); err != nil {
 				return err
 			}
 			retained = retained[1:]

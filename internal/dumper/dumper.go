@@ -134,9 +134,11 @@ func (d *Dumper) Snapshot(cycle uint64) error {
 			return
 		}
 		var ids []heap.ObjectID
-		if len(ps.HeaderIDs) > 0 {
+		if len(ps.Headers) > 0 {
 			start := len(arena)
-			arena = append(arena, ps.HeaderIDs...)
+			for _, obj := range ps.Headers {
+				arena = append(arena, obj.ID)
+			}
 			// Full-capacity subslice: appends to one page's ids can
 			// never bleed into the next page's.
 			ids = arena[start:len(arena):len(arena)]
@@ -208,9 +210,9 @@ func (j *Jmap) Snapshot(cycle uint64) error {
 	arena := make([]heap.ObjectID, 0, j.lastHdr)
 	j.h.Pages(func(ps heap.PageState) {
 		start := len(arena)
-		for _, id := range ps.HeaderIDs {
-			if live.Contains(id) {
-				arena = append(arena, id)
+		for _, obj := range ps.Headers {
+			if live.Marked(obj) {
+				arena = append(arena, obj.ID)
 			}
 		}
 		if len(arena) == start {

@@ -31,7 +31,7 @@ func TestIncrementalSnapshotShrinksWhenClean(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 		objs = append(objs, obj)
@@ -56,7 +56,7 @@ func TestIncrementalSnapshotShrinksWhenClean(t *testing.T) {
 		t.Fatal("incremental snapshot not smaller")
 	}
 	// A single mutation re-dirties one page.
-	if err := h.Link(objs[0].ID, objs[1].ID); err != nil {
+	if err := h.Link(objs[0], objs[1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Snapshot(3); err != nil {
@@ -78,7 +78,7 @@ func TestNoNeedPagesExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(liveObj.ID); err != nil {
+	if err := h.AddRoot(liveObj); err != nil {
 		t.Fatal(err)
 	}
 	// A dead object filling pages 1..3.
@@ -113,7 +113,7 @@ func TestNoNeedPagesExcluded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h2.AddRoot(obj2.ID); err != nil {
+	if err := h2.AddRoot(obj2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := h2.Allocate(r2, 12*1024, 1); err != nil {
@@ -141,7 +141,7 @@ func TestDisableIncrementalCapturesEverythingEveryTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(obj.ID); err != nil {
+	if err := h.AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	d := New(h, simclock.New(), Config{DisableIncremental: true})
@@ -169,7 +169,7 @@ func TestChargeClock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(obj.ID); err != nil {
+	if err := h.AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	d := New(h, clk, Config{ChargeClock: true})
@@ -199,7 +199,7 @@ func TestJmapDumpsOnlyLiveObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(liveObj.ID); err != nil {
+	if err := h.AddRoot(liveObj); err != nil {
 		t.Fatal(err)
 	}
 	j := NewJmap(h, simclock.New(), CostModel{})
@@ -234,7 +234,7 @@ func TestJmapCostsExceedCRIU(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,7 +281,7 @@ func TestCRIUAndStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
 	h.MarkNoNeedPages(h.Trace())
@@ -302,7 +302,7 @@ func TestCRIUAndStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(b.ID); err != nil {
+	if err := h.AddRoot(b); err != nil {
 		t.Fatal(err)
 	}
 	h.MarkNoNeedPages(h.Trace())

@@ -81,12 +81,12 @@ func (*churnApp) Run(env *core.Env, workloadName string) error {
 		if env.Now() >= half {
 			keep = cache
 		}
-		if err := h.AddRoot(keep.ID); err != nil {
+		if err := h.AddRoot(keep); err != nil {
 			return err
 		}
 		retained = append(retained, entry{obj: keep, expiry: env.Now() + 90*time.Second})
 		for len(retained) > 0 && retained[0].expiry <= env.Now() {
-			if err := h.RemoveRoot(retained[0].obj.ID); err != nil {
+			if err := h.RemoveRoot(retained[0].obj); err != nil {
 				return err
 			}
 			retained = retained[1:]

@@ -39,14 +39,14 @@ func TestAllPausesUnder10ms(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%10 == 0 {
-			if err := h.AddRoot(obj.ID); err != nil {
+			if err := h.AddRoot(obj); err != nil {
 				t.Fatal(err)
 			}
 			keep = append(keep, obj)
 			if len(keep) > 100 {
 				old := keep[0]
 				keep = keep[1:]
-				if err := h.RemoveRoot(old.ID); err != nil {
+				if err := h.RemoveRoot(old); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -115,7 +115,7 @@ func TestCompactionPreservesLiveObjects(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%10 == 0 {
-			if err := h.AddRoot(obj.ID); err != nil {
+			if err := h.AddRoot(obj); err != nil {
 				t.Fatal(err)
 			}
 			keep = append(keep, obj)
@@ -125,7 +125,7 @@ func TestCompactionPreservesLiveObjects(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, obj := range keep {
-		if h.Object(obj.ID) == nil {
+		if obj.Freed() {
 			t.Fatal("cycle lost a live object")
 		}
 	}

@@ -80,7 +80,7 @@ func fillEden(b *testing.B, h *heap.Heap, retained []*heap.Object, count int) []
 		}
 		if i%4 == 0 {
 			holder := retained[i%len(retained)]
-			if err := h.Link(holder.ID, obj.ID); err != nil {
+			if err := h.Link(holder, obj); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -126,7 +126,7 @@ func unlinkSurvivors(b *testing.B, h *heap.Heap, retained []*heap.Object) {
 		})
 		for _, e := range edges {
 			for k := 0; k < e.n; k++ {
-				if err := h.Unlink(holder.ID, e.child.ID); err != nil {
+				if err := h.Unlink(holder, e.child); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -225,7 +225,7 @@ func BenchmarkEvacuateRegion(b *testing.B) {
 		objs = append(objs, obj)
 	}
 	for i := 0; i+1 < len(objs); i += 2 {
-		if err := h.Link(objs[i].ID, objs[i+1].ID); err != nil {
+		if err := h.Link(objs[i], objs[i+1]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package gc
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -68,21 +69,12 @@ func (c *Cursor) Gen() heap.GenID { return c.gen }
 func LiveResidents(h *heap.Heap, r *heap.Region, live *heap.LiveSet) []*heap.Object {
 	scratch := h.ObjectScratch()
 	out := (*scratch)[:0]
-	r.EachResident(func(obj *heap.Object) {
+	for obj := r.FirstResident(); obj != nil; obj = obj.NextResident() {
 		if live.Marked(obj) {
 			out = append(out, obj)
 		}
-	})
-	slices.SortFunc(out, func(a, b *heap.Object) int {
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		default:
-			return 0
-		}
-	})
+	}
+	slices.SortFunc(out, func(a, b *heap.Object) int { return cmp.Compare(a.ID, b.ID) })
 	*scratch = out
 	return out
 }

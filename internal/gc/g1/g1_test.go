@@ -79,7 +79,7 @@ func TestSurvivorAgingAndPromotion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Heap().AddRoot(obj.ID); err != nil {
+	if err := c.Heap().AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,7 +119,7 @@ func TestSurvivorOverflowPromotesEnMasse(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.Heap().AddRoot(obj.ID); err != nil {
+		if err := c.Heap().AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestMixedCollectionCompactsOld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 		objs = append(objs, obj)
@@ -162,7 +162,7 @@ func TestMixedCollectionCompactsOld(t *testing.T) {
 	}
 	for i, obj := range objs {
 		if i%2 == 0 {
-			if err := h.RemoveRoot(obj.ID); err != nil {
+			if err := h.RemoveRoot(obj); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -182,7 +182,7 @@ func TestMixedCollectionCompactsOld(t *testing.T) {
 		t.Fatal("mixed collection never ran despite IHOP pressure")
 	}
 	for _, obj := range objs {
-		if h.Object(obj.ID) != nil && obj.Gen != Old && obj.Age < 1 {
+		if !obj.Freed() && obj.Gen != Old && obj.Age < 1 {
 			t.Fatalf("object in unexpected state: %v", obj)
 		}
 	}
@@ -205,7 +205,7 @@ func TestFullGCOnExhaustion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 		keep = append(keep, obj)
@@ -216,7 +216,7 @@ func TestFullGCOnExhaustion(t *testing.T) {
 		}
 	}
 	for _, obj := range keep {
-		if h.Object(obj.ID) == nil {
+		if obj.Freed() {
 			t.Fatal("full GC lost a live object")
 		}
 	}
@@ -287,11 +287,11 @@ func TestRemsetInvariantAfterCollections(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i%3 == 0 {
-			if err := h.AddRoot(obj.ID); err != nil {
+			if err := h.AddRoot(obj); err != nil {
 				t.Fatal(err)
 			}
-			if prev != nil && h.Object(prev.ID) != nil {
-				if err := h.Link(obj.ID, prev.ID); err != nil {
+			if prev != nil && !prev.Freed() {
+				if err := h.Link(obj, prev); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -321,7 +321,7 @@ func TestHumongousAllocation(t *testing.T) {
 	if region.ResidentCount() != 1 {
 		t.Fatalf("humongous region holds %d objects, want 1", region.ResidentCount())
 	}
-	if err := h.AddRoot(obj.ID); err != nil {
+	if err := h.AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	offset := obj.Offset
@@ -342,13 +342,13 @@ func TestHumongousAllocation(t *testing.T) {
 		t.Fatalf("humongous object was copied (%d bytes)", copied)
 	}
 	// Death reclaims the whole region at cleanup.
-	if err := h.RemoveRoot(obj.ID); err != nil {
+	if err := h.RemoveRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ForceCollect(); err != nil {
 		t.Fatal(err)
 	}
-	if h.Object(obj.ID) != nil {
+	if !obj.Freed() {
 		t.Fatal("dead humongous object not reclaimed")
 	}
 	if got := h.Region(region.ID()); got != nil {
@@ -369,7 +369,7 @@ func TestHumongousSurvivesFullGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(obj.ID); err != nil {
+	if err := h.AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 800; i++ {
@@ -377,7 +377,7 @@ func TestHumongousSurvivesFullGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h.Object(obj.ID) == nil {
+	if obj.Freed() {
 		t.Fatal("humongous object lost under pressure")
 	}
 	if obj.Gen != Old {

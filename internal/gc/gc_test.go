@@ -108,7 +108,7 @@ func TestSweepAndEvacuateAndFree(t *testing.T) {
 	if _, err := h.Allocate(r, 200, 1); err != nil { // dead
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(liveObj.ID); err != nil {
+	if err := h.AddRoot(liveObj); err != nil {
 		t.Fatal(err)
 	}
 	live := h.Trace()
@@ -124,7 +124,7 @@ func TestSweepAndEvacuateAndFree(t *testing.T) {
 	if !r.Freed() {
 		t.Fatal("source region not freed")
 	}
-	if h.Object(liveObj.ID) == nil {
+	if liveObj.Freed() {
 		t.Fatal("live object lost")
 	}
 	if liveObj.Gen != 1 {
@@ -143,7 +143,7 @@ func TestLiveResidentsDeterministicOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -182,7 +182,7 @@ func TestSortRegionsByGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(obj.ID); err != nil {
+	if err := h.AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	live := h.Trace()

@@ -57,7 +57,7 @@ func TestPretenuredAllocationBypassesYoung(t *testing.T) {
 	if obj.Gen != gen {
 		t.Fatalf("pretenured object in gen %d, want %d", obj.Gen, gen)
 	}
-	if err := c.Heap().AddRoot(obj.ID); err != nil {
+	if err := c.Heap().AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ForceCollect(); err != nil {
@@ -96,7 +96,7 @@ func TestPretenuredRegionsDieCheap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := h.AddRoot(obj.ID); err != nil {
+			if err := h.AddRoot(obj); err != nil {
 				t.Fatal(err)
 			}
 			batch = append(batch, obj)
@@ -109,7 +109,7 @@ func TestPretenuredRegionsDieCheap(t *testing.T) {
 		}
 		// Batch dies together; one more collection reclaims.
 		for _, obj := range batch {
-			if err := h.RemoveRoot(obj.ID); err != nil {
+			if err := h.RemoveRoot(obj); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -141,7 +141,7 @@ func TestEmptyMatureRegionsFreedAtCleanup(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 		batch = append(batch, obj)
@@ -151,7 +151,7 @@ func TestEmptyMatureRegionsFreedAtCleanup(t *testing.T) {
 		t.Fatal("pretenured allocations committed no mature regions")
 	}
 	for _, obj := range batch {
-		if err := h.RemoveRoot(obj.ID); err != nil {
+		if err := h.RemoveRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -181,7 +181,7 @@ func TestMixedCollectionCompactsWithinGeneration(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := h.AddRoot(obj.ID); err != nil {
+		if err := h.AddRoot(obj); err != nil {
 			t.Fatal(err)
 		}
 		objs = append(objs, obj)
@@ -190,7 +190,7 @@ func TestMixedCollectionCompactsWithinGeneration(t *testing.T) {
 	// not empty.
 	for i, obj := range objs {
 		if i%8 != 0 {
-			if err := h.RemoveRoot(obj.ID); err != nil {
+			if err := h.RemoveRoot(obj); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -211,7 +211,7 @@ func TestMixedCollectionCompactsWithinGeneration(t *testing.T) {
 	}
 	// Survivors of mixed compaction stay in their generation.
 	for _, obj := range objs {
-		if h.Object(obj.ID) != nil && obj.Gen != gen {
+		if !obj.Freed() && obj.Gen != gen {
 			t.Fatalf("mixed compaction changed generation: %v", obj)
 		}
 	}
@@ -234,7 +234,7 @@ func TestFullCollectPreservesGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(pre.ID); err != nil {
+	if err := h.AddRoot(pre); err != nil {
 		t.Fatal(err)
 	}
 	// Pressure the heap into a full collection.
@@ -264,7 +264,7 @@ func TestYoungPathMatchesG1Semantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(obj.ID); err != nil {
+	if err := h.AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.ForceCollect(); err != nil {
@@ -301,7 +301,7 @@ func TestHumongousAllocationYoungAndPretenured(t *testing.T) {
 	if b.Gen != gen {
 		t.Fatalf("pretenured humongous in gen %d, want %d", b.Gen, gen)
 	}
-	if err := h.AddRoot(b.ID); err != nil {
+	if err := h.AddRoot(b); err != nil {
 		t.Fatal(err)
 	}
 	offset := b.Offset
@@ -314,7 +314,7 @@ func TestHumongousAllocationYoungAndPretenured(t *testing.T) {
 		t.Fatalf("humongous object was moved: %v", b)
 	}
 	// a was unrooted: its region must be reclaimed whole.
-	if h.Object(a.ID) != nil {
+	if !a.Freed() {
 		t.Fatal("dead humongous object not reclaimed")
 	}
 }

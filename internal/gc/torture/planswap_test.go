@@ -125,14 +125,14 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 			t.Fatalf("%s: step %d: %v", name, step, err)
 		}
 		if rng.Intn(5) == 0 {
-			if err := h.AddRoot(obj.ID); err != nil {
+			if err := h.AddRoot(obj); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			live = append(live, tracked{obj: obj, ttl: 10 + rng.Intn(3000)})
 			if len(live) > 1 && rng.Intn(2) == 0 {
 				other := live[rng.Intn(len(live))]
-				if h.Object(other.obj.ID) != nil {
-					if err := h.Link(obj.ID, other.obj.ID); err != nil {
+				if !other.obj.Freed() {
+					if err := h.Link(obj, other.obj); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 				}
@@ -145,7 +145,7 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 			for _, tr := range live {
 				tr.ttl -= 32
 				if tr.ttl <= 0 {
-					if err := h.RemoveRoot(tr.obj.ID); err != nil {
+					if err := h.RemoveRoot(tr.obj); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					continue
@@ -162,7 +162,7 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 	}
 
 	for _, tr := range live {
-		if h.Object(tr.obj.ID) == nil {
+		if tr.obj.Freed() {
 			t.Fatalf("%s: live object %#x lost across plan swaps", name, uint64(tr.obj.ID))
 		}
 	}
@@ -177,7 +177,7 @@ func tortureWithPlanSwaps(t *testing.T, name string, col gc.Collector, seed int6
 	vm.SetPlan(nil)
 	th.ReleaseLocals()
 	for _, tr := range live {
-		if err := h.RemoveRoot(tr.obj.ID); err != nil {
+		if err := h.RemoveRoot(tr.obj); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

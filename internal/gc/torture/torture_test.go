@@ -74,15 +74,15 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 		// ~20% of objects are retained for a random while; the rest
 		// die immediately.
 		if rng.Intn(5) == 0 {
-			if err := h.AddRoot(obj.ID); err != nil {
+			if err := h.AddRoot(obj); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			live = append(live, tracked{obj: obj, ttl: 10 + rng.Intn(4000)})
 			// Random edges between retained objects.
 			if len(live) > 1 && rng.Intn(2) == 0 {
 				other := live[rng.Intn(len(live))]
-				if h.Object(other.obj.ID) != nil {
-					if err := h.Link(obj.ID, other.obj.ID); err != nil {
+				if !other.obj.Freed() {
+					if err := h.Link(obj, other.obj); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 				}
@@ -94,7 +94,7 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 			for _, tr := range live {
 				tr.ttl -= 64
 				if tr.ttl <= 0 {
-					if err := h.RemoveRoot(tr.obj.ID); err != nil {
+					if err := h.RemoveRoot(tr.obj); err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
 					continue
@@ -112,7 +112,7 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 
 	// Every rooted object must have survived.
 	for _, tr := range live {
-		if h.Object(tr.obj.ID) == nil {
+		if tr.obj.Freed() {
 			t.Fatalf("%s: live object %#x lost", name, uint64(tr.obj.ID))
 		}
 	}
@@ -125,7 +125,7 @@ func torture(t *testing.T, name string, col gc.Collector, seed int64) {
 	}
 	// After unrooting everything and collecting, the heap drains.
 	for _, tr := range live {
-		if err := h.RemoveRoot(tr.obj.ID); err != nil {
+		if err := h.RemoveRoot(tr.obj); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}

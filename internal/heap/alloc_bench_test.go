@@ -33,7 +33,7 @@ func benchGraph(b *testing.B, n int) (*Heap, []*Object) {
 	for i, obj := range objs {
 		for k := 1; k <= 2; k++ {
 			if i+k < len(objs) {
-				if err := h.Link(obj.ID, objs[i+k].ID); err != nil {
+				if err := h.Link(obj, objs[i+k]); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -77,10 +77,10 @@ func BenchmarkLinkUnlink(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := objs[i%len(objs)]
 		c := objs[(i*7+3)%len(objs)]
-		if err := h.Link(a.ID, c.ID); err != nil {
+		if err := h.Link(a, c); err != nil {
 			b.Fatal(err)
 		}
-		if err := h.Unlink(a.ID, c.ID); err != nil {
+		if err := h.Unlink(a, c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +107,7 @@ func BenchmarkAllocRemoveChurn(b *testing.B) {
 			if r.Used()+size > h.Config().RegionSize {
 				b.StopTimer()
 				for _, obj := range batch {
-					if err := h.Unlink(holder.ID, obj.ID); err != nil {
+					if err := h.Unlink(holder, obj); err != nil {
 						b.Fatal(err)
 					}
 					h.Remove(obj)
@@ -123,13 +123,13 @@ func BenchmarkAllocRemoveChurn(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := h.Link(holder.ID, obj.ID); err != nil {
+			if err := h.Link(holder, obj); err != nil {
 				b.Fatal(err)
 			}
 			batch = append(batch, obj)
 		}
 		for _, obj := range batch {
-			if err := h.Unlink(holder.ID, obj.ID); err != nil {
+			if err := h.Unlink(holder, obj); err != nil {
 				b.Fatal(err)
 			}
 			h.Remove(obj)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 )
 
 // DefaultRegionSize is the default region size: 1 MiB, the G1 default for
@@ -80,9 +79,10 @@ type Stats struct {
 }
 
 // Heap is the simulated managed heap. It owns objects, regions and the page
-// table; collectors implement policy on top of it. A Heap is not safe for
-// concurrent use: the simulation is single-threaded, as a stop-the-world
-// collector's heap effectively is.
+// table; collectors implement policy on top of it. Callers refer to objects
+// by the *Object handles Allocate returns: the heap keeps no id-keyed
+// object table. A Heap is not safe for concurrent use: the simulation is
+// single-threaded, as a stop-the-world collector's heap effectively is.
 //
 // A steady-state GC cycle over a Heap performs near-zero Go allocations:
 // dead Object structs (with their edge-store spill arrays) are recycled
@@ -92,9 +92,13 @@ type Stats struct {
 type Heap struct {
 	cfg Config
 
-	objects map[ObjectID]*Object
 	regions map[RegionID]*Region
-	roots   map[ObjectID]*Object
+	// roots lists every pinned object once, in pin order; each rooted
+	// object remembers its slot (Object.rootIdx) so unpinning
+	// swap-removes in O(1).
+	roots []*Object
+	// objects counts resident objects.
+	objects int
 
 	// activeIDs is the ascending list of non-freed region ids, maintained
 	// incrementally: region ids are assigned monotonically, so commits
@@ -134,9 +138,7 @@ func New(cfg Config) (*Heap, error) {
 	}
 	return &Heap{
 		cfg:     cfg,
-		objects: make(map[ObjectID]*Object),
 		regions: make(map[RegionID]*Region),
-		roots:   make(map[ObjectID]*Object),
 	}, nil
 }
 
@@ -154,16 +156,12 @@ func (h *Heap) Stats() Stats {
 		MaxCommittedBytes:     h.maxCommitted,
 		UsedBytes:             used,
 		LiveRegions:           len(h.activeIDs),
-		Objects:               len(h.objects),
+		Objects:               h.objects,
 		TotalAllocatedObjects: h.totalObjects,
 		TotalAllocatedBytes:   h.totalBytes,
 		FreeObjects:           h.freeObjects,
 	}
 }
-
-// Object returns the object with the given id, or nil if it does not exist
-// (was never allocated, or has been collected).
-func (h *Heap) Object(id ObjectID) *Object { return h.objects[id] }
 
 // Region returns the region with the given id, or nil.
 func (h *Heap) Region(id RegionID) *Region { return h.regions[id] }
@@ -209,7 +207,7 @@ func (h *Heap) NewRegion(gen GenID) (*Region, error) {
 
 // FreeRegion returns an empty region to the system. Freeing a region that
 // still has residents is a collector bug and panics: it would leak objects
-// whose ids remain in the object table.
+// that are still counted and still on the region's resident list.
 func (h *Heap) FreeRegion(r *Region) {
 	if r.freed {
 		panic(fmt.Sprintf("heap: double free of %v", r))
@@ -283,7 +281,7 @@ func (h *Heap) Allocate(r *Region, size uint32, site SiteID) (*Object, error) {
 	}
 	r.used += size
 	r.pushResident(obj)
-	h.objects[obj.ID] = obj
+	h.objects++
 	h.totalObjects++
 	h.totalBytes += uint64(size)
 	first, last := obj.pageSpan(h.cfg.PageSize)
@@ -302,52 +300,54 @@ func mix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// AddRoot pins the object with the given id as a GC root. Pins are counted:
-// an object added twice must be removed twice.
-func (h *Heap) AddRoot(id ObjectID) error {
-	obj := h.objects[id]
-	if obj == nil {
-		return fmt.Errorf("heap: AddRoot of unknown object %#x", uint64(id))
+// AddRoot pins obj as a GC root. Pins are counted: an object added twice
+// must be removed twice. A freed handle is rejected; a handle recycled into
+// a new object is that object now, which only a changed Stamp reveals.
+func (h *Heap) AddRoot(obj *Object) error {
+	if obj.Freed() {
+		return fmt.Errorf("heap: AddRoot of freed object %v", obj)
 	}
-	obj.rootPins++
-	h.roots[id] = obj
+	h.PinRoot(obj)
 	return nil
 }
 
-// RemoveRoot releases one root pin of the object.
-func (h *Heap) RemoveRoot(id ObjectID) error {
-	obj := h.objects[id]
-	if obj == nil {
-		return fmt.Errorf("heap: RemoveRoot of unknown object %#x", uint64(id))
+// RemoveRoot releases one root pin of obj.
+func (h *Heap) RemoveRoot(obj *Object) error {
+	if obj.Freed() {
+		return fmt.Errorf("heap: RemoveRoot of freed object %v", obj)
 	}
 	if obj.rootPins == 0 {
 		return fmt.Errorf("heap: RemoveRoot of unpinned object %v", obj)
 	}
-	obj.rootPins--
-	if obj.rootPins == 0 {
-		delete(h.roots, id)
-	}
+	h.UnpinRoot(obj)
 	return nil
 }
 
-// PinRoot pins an already-resolved object as a GC root, skipping the id
-// lookup of AddRoot on the engine's per-allocation pinning path.
+// PinRoot pins a live object as a GC root without AddRoot's handle check:
+// the engine's per-allocation pinning path, which only pins objects it
+// has just allocated.
 func (h *Heap) PinRoot(obj *Object) {
 	obj.rootPins++
 	if obj.rootPins == 1 {
-		h.roots[obj.ID] = obj
+		obj.rootIdx = int32(len(h.roots))
+		h.roots = append(h.roots, obj)
 	}
 }
 
-// UnpinRoot releases one root pin of an already-resolved object. Unpinning
-// an unpinned object is a bug in the engine and panics.
+// UnpinRoot releases one root pin of a live object. Unpinning an unpinned
+// object is a bug in the engine and panics.
 func (h *Heap) UnpinRoot(obj *Object) {
 	if obj.rootPins == 0 {
 		panic(fmt.Sprintf("heap: UnpinRoot of unpinned %v", obj))
 	}
 	obj.rootPins--
 	if obj.rootPins == 0 {
-		delete(h.roots, obj.ID)
+		last := len(h.roots) - 1
+		moved := h.roots[last]
+		h.roots[obj.rootIdx] = moved
+		moved.rootIdx = obj.rootIdx
+		h.roots[last] = nil
+		h.roots = h.roots[:last]
 	}
 }
 
@@ -357,10 +357,9 @@ func (h *Heap) RootCount() int { return len(h.roots) }
 // Link records a reference from parent to child (a reference-field store).
 // The store dirties the parent's header page; a cross-region edge grows the
 // child region's remembered set.
-func (h *Heap) Link(parent, child ObjectID) error {
-	p, c := h.objects[parent], h.objects[child]
-	if p == nil || c == nil {
-		return fmt.Errorf("heap: Link %#x -> %#x with unknown endpoint", uint64(parent), uint64(child))
+func (h *Heap) Link(p, c *Object) error {
+	if p.Freed() || c.Freed() {
+		return fmt.Errorf("heap: Link %v -> %v with freed endpoint", p, c)
 	}
 	p.refs.inc(c)
 	c.in.inc(p)
@@ -374,10 +373,9 @@ func (h *Heap) Link(parent, child ObjectID) error {
 
 // Unlink removes one reference from parent to child (a field overwrite or
 // clear). It also dirties the parent's header page.
-func (h *Heap) Unlink(parent, child ObjectID) error {
-	p, c := h.objects[parent], h.objects[child]
-	if p == nil || c == nil {
-		return fmt.Errorf("heap: Unlink %#x -> %#x with unknown endpoint", uint64(parent), uint64(child))
+func (h *Heap) Unlink(p, c *Object) error {
+	if p.Freed() || c.Freed() {
+		return fmt.Errorf("heap: Unlink %v -> %v with freed endpoint", p, c)
 	}
 	if !p.refs.dec(c) {
 		return fmt.Errorf("heap: Unlink of absent edge %v -> %v", p, c)
@@ -460,7 +458,7 @@ func (h *Heap) Remove(obj *Object) {
 	if obj.rootPins > 0 {
 		panic(fmt.Sprintf("heap: removing rooted %v", obj))
 	}
-	if _, ok := h.objects[obj.ID]; !ok {
+	if obj.Freed() {
 		panic(fmt.Sprintf("heap: double remove of %v", obj))
 	}
 	myRegion := obj.region
@@ -484,7 +482,7 @@ func (h *Heap) Remove(obj *Object) {
 	})
 	myRegion.removeResident(obj)
 	myRegion.pages.displace(obj, h.cfg.PageSize)
-	delete(h.objects, obj.ID)
+	h.objects--
 
 	// Recycle the struct: clear identity and graph state, keep the edge
 	// stores' spill capacity, bump the stamp so stale pointers are
@@ -508,10 +506,4 @@ func (h *Heap) ActiveRegions() []*Region {
 		out = append(out, h.regions[id])
 	}
 	return out
-}
-
-// sortObjectsByID orders objects by ascending identity hash (ids are
-// unique, so the order is total).
-func sortObjectsByID(objs []*Object) {
-	sort.Slice(objs, func(i, j int) bool { return objs[i].ID < objs[j].ID })
 }

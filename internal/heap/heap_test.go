@@ -139,13 +139,13 @@ func TestRootsAndTrace(t *testing.T) {
 	c := mustAlloc(t, h, r, 64)
 	orphan := mustAlloc(t, h, r, 64)
 
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Link(a.ID, b.ID); err != nil {
+	if err := h.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Link(b.ID, c.ID); err != nil {
+	if err := h.Link(b, c); err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,7 +153,7 @@ func TestRootsAndTrace(t *testing.T) {
 	if ls.Objects != 3 {
 		t.Fatalf("live objects = %d, want 3", ls.Objects)
 	}
-	if ls.Contains(orphan.ID) {
+	if ls.Marked(orphan) {
 		t.Fatal("orphan should be unreachable")
 	}
 	if ls.Bytes != 3*64 {
@@ -164,15 +164,15 @@ func TestRootsAndTrace(t *testing.T) {
 	}
 
 	// Unlinking b->c kills c.
-	if err := h.Unlink(b.ID, c.ID); err != nil {
+	if err := h.Unlink(b, c); err != nil {
 		t.Fatal(err)
 	}
-	if ls := h.Trace(); ls.Contains(c.ID) {
+	if ls := h.Trace(); ls.Marked(c) {
 		t.Fatal("c should be dead after unlink")
 	}
 
 	// Removing the root kills everything.
-	if err := h.RemoveRoot(a.ID); err != nil {
+	if err := h.RemoveRoot(a); err != nil {
 		t.Fatal(err)
 	}
 	if ls := h.Trace(); ls.Objects != 0 {
@@ -184,38 +184,77 @@ func TestRootPinCounting(t *testing.T) {
 	h := testHeap(t)
 	r := mustRegion(t, h, Young)
 	a := mustAlloc(t, h, r, 64)
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.RemoveRoot(a.ID); err != nil {
+	if err := h.RemoveRoot(a); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Trace().Contains(a.ID) {
+	if !h.Trace().Marked(a) {
 		t.Fatal("doubly pinned object should survive one unpin")
 	}
-	if err := h.RemoveRoot(a.ID); err != nil {
+	if err := h.RemoveRoot(a); err != nil {
 		t.Fatal(err)
 	}
-	if h.Trace().Contains(a.ID) {
+	if h.Trace().Marked(a) {
 		t.Fatal("object should die after final unpin")
 	}
-	if err := h.RemoveRoot(a.ID); err == nil {
+	if err := h.RemoveRoot(a); err == nil {
 		t.Fatal("unpinning an unpinned object should fail")
 	}
 }
 
+// TestLinkUnknownEndpoints checks that the handle-taking graph and root
+// operations reject a freed handle without touching the heap, and that the
+// recycling stamp tells a reused handle from the object it once was.
 func TestLinkUnknownEndpoints(t *testing.T) {
 	h := testHeap(t)
 	r := mustRegion(t, h, Young)
 	a := mustAlloc(t, h, r, 64)
-	if err := h.Link(a.ID, ObjectID(12345)); err == nil {
-		t.Fatal("Link to unknown child should fail")
+	if err := h.AddRoot(a); err != nil {
+		t.Fatal(err)
 	}
-	if err := h.Unlink(a.ID, a.ID); err == nil {
+	if err := h.Unlink(a, a); err == nil {
 		t.Fatal("Unlink of absent edge should fail")
+	}
+	dead := mustAlloc(t, h, r, 64)
+	stamp := dead.Stamp()
+	h.Remove(dead)
+
+	for name, op := range map[string]func() error{
+		"Link parent":   func() error { return h.Link(dead, a) },
+		"Link child":    func() error { return h.Link(a, dead) },
+		"Unlink parent": func() error { return h.Unlink(dead, a) },
+		"Unlink child":  func() error { return h.Unlink(a, dead) },
+		"AddRoot":       func() error { return h.AddRoot(dead) },
+		"RemoveRoot":    func() error { return h.RemoveRoot(dead) },
+	} {
+		if err := op(); err == nil {
+			t.Errorf("%s with a freed handle succeeded", name)
+		}
+	}
+	if a.OutDegree() != 0 || a.InDegree() != 0 || h.RootCount() != 1 {
+		t.Fatalf("rejected operations mutated the heap: out=%d in=%d roots=%d",
+			a.OutDegree(), a.InDegree(), h.RootCount())
+	}
+	if bad := h.CheckRemsetInvariant(); len(bad) != 0 {
+		t.Fatalf("remset invariant broken in %v", bad)
+	}
+
+	// The freelist hands the struct to the next allocation: the old
+	// handle is live again, as a different object the stamp gives away.
+	reused := mustAlloc(t, h, r, 64)
+	if reused != dead || reused.Freed() {
+		t.Fatal("allocation did not recycle the freed handle")
+	}
+	if reused.Stamp() == stamp {
+		t.Fatal("recycled handle kept its stamp")
+	}
+	if err := h.Link(a, reused); err != nil {
+		t.Fatalf("Link to the recycled object: %v", err)
 	}
 }
 
@@ -224,30 +263,30 @@ func TestEdgeMultiplicity(t *testing.T) {
 	r := mustRegion(t, h, Young)
 	a := mustAlloc(t, h, r, 64)
 	b := mustAlloc(t, h, r, 64)
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := h.Link(a.ID, b.ID); err != nil {
+		if err := h.Link(a, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if a.RefCount(b.ID) != 3 {
-		t.Fatalf("RefCount = %d, want 3", a.RefCount(b.ID))
+	if a.RefCount(b) != 3 {
+		t.Fatalf("RefCount = %d, want 3", a.RefCount(b))
 	}
-	if err := h.Unlink(a.ID, b.ID); err != nil {
+	if err := h.Unlink(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Unlink(a.ID, b.ID); err != nil {
+	if err := h.Unlink(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if !h.Trace().Contains(b.ID) {
+	if !h.Trace().Marked(b) {
 		t.Fatal("b should stay alive while one edge remains")
 	}
-	if err := h.Unlink(a.ID, b.ID); err != nil {
+	if err := h.Unlink(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if h.Trace().Contains(b.ID) {
+	if h.Trace().Marked(b) {
 		t.Fatal("b should die when the last edge is removed")
 	}
 }
@@ -257,19 +296,19 @@ func TestCycleCollection(t *testing.T) {
 	r := mustRegion(t, h, Young)
 	a := mustAlloc(t, h, r, 64)
 	b := mustAlloc(t, h, r, 64)
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Link(a.ID, b.ID); err != nil {
+	if err := h.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Link(b.ID, a.ID); err != nil {
+	if err := h.Link(b, a); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Trace().Objects; got != 2 {
 		t.Fatalf("cycle with root: live = %d, want 2", got)
 	}
-	if err := h.RemoveRoot(a.ID); err != nil {
+	if err := h.RemoveRoot(a); err != nil {
 		t.Fatal(err)
 	}
 	if got := h.Trace().Objects; got != 0 {
@@ -283,10 +322,10 @@ func TestEvacuatePreservesIdentityAndGraph(t *testing.T) {
 	dst := mustRegion(t, h, GenID(1))
 	a := mustAlloc(t, h, src, 64)
 	b := mustAlloc(t, h, src, 64)
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Link(a.ID, b.ID); err != nil {
+	if err := h.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
 	id := b.ID
@@ -299,7 +338,7 @@ func TestEvacuatePreservesIdentityAndGraph(t *testing.T) {
 	if b.Region != dst.ID() || b.Gen != 1 {
 		t.Fatalf("evacuated object location wrong: %v", b)
 	}
-	if !h.Trace().Contains(b.ID) {
+	if !h.Trace().Marked(b) {
 		t.Fatal("evacuated object fell out of the graph")
 	}
 	if src.ResidentCount() != 1 || dst.ResidentCount() != 1 {
@@ -332,17 +371,17 @@ func TestRemoveTearsDownEdges(t *testing.T) {
 	a := mustAlloc(t, h, r, 64)
 	b := mustAlloc(t, h, r, 64)
 	c := mustAlloc(t, h, r, 64)
-	if err := h.Link(a.ID, b.ID); err != nil {
+	if err := h.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Link(b.ID, c.ID); err != nil {
+	if err := h.Link(b, c); err != nil {
 		t.Fatal(err)
 	}
 	h.Remove(b)
-	if h.Object(b.ID) != nil {
+	if !b.Freed() {
 		t.Fatal("removed object still present")
 	}
-	if a.RefCount(b.ID) != 0 {
+	if a.RefCount(b) != 0 {
 		t.Fatal("parent still references removed object")
 	}
 	if c.InDegree() != 0 {
@@ -357,7 +396,7 @@ func TestRemoveRootedPanics(t *testing.T) {
 	h := testHeap(t)
 	r := mustRegion(t, h, Young)
 	a := mustAlloc(t, h, r, 64)
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
 	defer func() {
@@ -375,7 +414,7 @@ func TestRemsetMaintenance(t *testing.T) {
 	a := mustAlloc(t, h, r1, 64)
 	b := mustAlloc(t, h, r2, 64)
 
-	if err := h.Link(a.ID, b.ID); err != nil {
+	if err := h.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
 	if r2.RemsetEntries() != 1 {
@@ -414,7 +453,7 @@ func TestSelfReferenceRemset(t *testing.T) {
 	r1 := mustRegion(t, h, Young)
 	r2 := mustRegion(t, h, GenID(1))
 	a := mustAlloc(t, h, r1, 64)
-	if err := h.Link(a.ID, a.ID); err != nil {
+	if err := h.Link(a, a); err != nil {
 		t.Fatal(err)
 	}
 	if r1.RemsetEntries() != 0 {

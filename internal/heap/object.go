@@ -193,18 +193,13 @@ func (s *edgeSet) removeSpillAt(i int) {
 	}
 }
 
-// countByID returns the multiplicity of the edge to the object with the
-// given identity hash.
-func (s *edgeSet) countByID(id ObjectID) int32 {
-	for i := int32(0); i < s.inlineLen; i++ {
-		if s.inline[i].obj.ID == id {
-			return s.inline[i].n
-		}
+// count returns the multiplicity of the edge to o.
+func (s *edgeSet) count(o *Object) int32 {
+	if i := s.findInline(o); i >= 0 {
+		return s.inline[i].n
 	}
-	for i := range s.spill {
-		if s.spill[i].obj.ID == id {
-			return s.spill[i].n
-		}
+	if i := s.spillFind(o); i >= 0 {
+		return s.spill[i].n
 	}
 	return 0
 }
@@ -270,8 +265,9 @@ type Object struct {
 	// exported Region id so hot paths skip the region-table lookup.
 	region *Region
 	// rootPins counts how many times the object has been registered as a
-	// GC root.
-	rootPins int
+	// GC root; rootIdx is its slot in the heap's root list while pinned.
+	rootPins int32
+	rootIdx  int32
 	// mark is the trace epoch that last reached this object; the heap
 	// compares it against its current epoch instead of building a
 	// live-set map on every collection.
@@ -304,9 +300,7 @@ func (o *Object) pageSpan(pageSize uint32) (first, last uint32) {
 }
 
 // RefCount returns the multiplicity of the edge from o to child.
-func (o *Object) RefCount(child ObjectID) int {
-	return int(o.refs.countByID(child))
-}
+func (o *Object) RefCount(child *Object) int { return int(o.refs.count(child)) }
 
 // EachRef calls f for every distinct outgoing reference edge with its
 // multiplicity, in deterministic (store) order. The callback must not
@@ -328,6 +322,12 @@ func (o *Object) IsRoot() bool { return o.rootPins > 0 }
 // resident list, or nil at the tail. Collectors sweeping a region read the
 // next pointer before removing the current object.
 func (o *Object) NextResident() *Object { return o.next }
+
+// Freed reports whether the object has been removed from the heap. The
+// struct is then waiting on the heap's freelist; once a later Allocate
+// reuses it, it is a different, live object under the same pointer, which
+// only a changed Stamp reveals.
+func (o *Object) Freed() bool { return o.region == nil }
 
 // Stamp returns the object's recycling generation: the number of times this
 // struct has been reused through the heap's freelist. A pointer held across

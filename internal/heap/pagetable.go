@@ -51,11 +51,11 @@ type regionPages struct {
 	n     uint32
 	// coverage counts resident objects overlapping each page.
 	coverage []uint16
-	// headers holds, per page index, the identity hashes of resident
-	// objects whose header lies on it. The per-page slices keep their
-	// backing arrays across reset, so a recycled page table reaches its
-	// steady-state capacity once and then stops allocating.
-	headers [][]ObjectID
+	// headers holds, per page index, the resident objects whose header
+	// lies on it. The per-page slices keep their backing arrays across
+	// reset, so a recycled page table reaches its steady-state capacity
+	// once and then stops allocating.
+	headers [][]*Object
 }
 
 func newRegionPages(n uint32) *regionPages {
@@ -63,7 +63,7 @@ func newRegionPages(n uint32) *regionPages {
 		flags:    pageFlags{dirty: newBitset(n), noNeed: newBitset(n)},
 		n:        n,
 		coverage: make([]uint16, n),
-		headers:  make([][]ObjectID, n),
+		headers:  make([][]*Object, n),
 	}
 }
 
@@ -96,7 +96,7 @@ func (rp *regionPages) place(obj *Object, pageSize uint32) {
 		rp.coverage[i]++
 	}
 	hp := obj.headerPage(pageSize)
-	rp.headers[hp] = append(rp.headers[hp], obj.ID)
+	rp.headers[hp] = append(rp.headers[hp], obj)
 }
 
 // displace removes a resident object's storage from the page table.
@@ -106,11 +106,13 @@ func (rp *regionPages) displace(obj *Object, pageSize uint32) {
 		rp.coverage[i]--
 	}
 	hp := obj.headerPage(pageSize)
-	ids := rp.headers[hp]
-	for i, id := range ids {
-		if id == obj.ID {
-			ids[i] = ids[len(ids)-1]
-			rp.headers[hp] = ids[:len(ids)-1]
+	hs := rp.headers[hp]
+	for i, o := range hs {
+		if o == obj {
+			last := len(hs) - 1
+			hs[i] = hs[last]
+			hs[last] = nil
+			rp.headers[hp] = hs[:last]
 			break
 		}
 	}
@@ -122,10 +124,10 @@ type PageState struct {
 	Key    PageKey
 	Dirty  bool
 	NoNeed bool
-	// HeaderIDs lists the identity hashes of objects whose header lies on
-	// this page; a snapshot that includes the page lets the Analyzer
-	// recover exactly these ids (§4.3).
-	HeaderIDs []ObjectID
+	// Headers lists the objects whose header lies on this page; a
+	// snapshot that includes the page lets the Analyzer recover exactly
+	// their ids (§4.3).
+	Headers []*Object
 	// Occupied reports whether any resident object's storage overlaps the
 	// page; unoccupied pages carry no data worth snapshotting.
 	Occupied bool

@@ -59,7 +59,7 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 		alive := func() []*Object {
 			out := objs[:0]
 			for _, o := range objs {
-				if h.Object(o.ID) != nil {
+				if !o.Freed() {
 					out = append(out, o)
 				}
 			}
@@ -79,13 +79,13 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 				shadow.write(obj.Region, first, last)
 			case op == 1: // link
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
-				if h.Link(a.ID, b.ID) == nil {
+				if h.Link(a, b) == nil {
 					hp := a.headerPage(h.cfg.PageSize)
 					shadow.write(a.Region, hp, hp)
 				}
 			case op == 2: // unlink
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
-				if h.Unlink(a.ID, b.ID) == nil {
+				if h.Unlink(a, b) == nil {
 					hp := a.headerPage(h.cfg.PageSize)
 					shadow.write(a.Region, hp, hp)
 				}
@@ -99,9 +99,9 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 			case op == 4: // root churn
 				o := objs[rng.Intn(len(objs))]
 				if o.IsRoot() {
-					_ = h.RemoveRoot(o.ID)
+					_ = h.RemoveRoot(o)
 				} else {
-					_ = h.AddRoot(o.ID)
+					_ = h.AddRoot(o)
 				}
 			}
 		}
@@ -150,12 +150,12 @@ func TestDirtyNoNeedSurviveInterleavingsProperty(t *testing.T) {
 			// the page".
 			covered := make(map[PageKey]bool)
 			for _, r := range regions {
-				r.EachResident(func(o *Object) {
+				for o := r.FirstResident(); o != nil; o = o.NextResident() {
 					first, last := o.pageSpan(h.cfg.PageSize)
 					for i := first; i <= last; i++ {
 						covered[PageKey{Region: r.ID(), Index: i}] = true
 					}
-				})
+				}
 			}
 			ok := true
 			h.Pages(func(ps PageState) {
@@ -189,7 +189,7 @@ func TestNoNeedClearedOnlyByWrites(t *testing.T) {
 	h := testHeap(t)
 	r := mustRegion(t, h, Young)
 	obj := mustAlloc(t, h, r, 3000)
-	if err := h.AddRoot(obj.ID); err != nil {
+	if err := h.AddRoot(obj); err != nil {
 		t.Fatal(err)
 	}
 	dead := mustAlloc(t, h, r, 3000) // pages 0..1, header on page 0

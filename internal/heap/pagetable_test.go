@@ -39,7 +39,7 @@ func TestClearDirtyAndRedirtyOnMutation(t *testing.T) {
 		t.Fatal("ClearDirtyPages left dirty bits")
 	}
 	// A reference store dirties the parent's header page only.
-	if err := h.Link(a.ID, b.ID); err != nil {
+	if err := h.Link(a, b); err != nil {
 		t.Fatal(err)
 	}
 	pages := collectPages(h)
@@ -56,11 +56,11 @@ func TestHeaderIDsOnPages(t *testing.T) {
 	pages := collectPages(h)
 	p0 := pages[PageKey{r.ID(), 0}]
 	p1 := pages[PageKey{r.ID(), 1}]
-	if len(p0.HeaderIDs) != 1 || p0.HeaderIDs[0] != a.ID {
-		t.Fatalf("page 0 headers = %v, want [a]", p0.HeaderIDs)
+	if len(p0.Headers) != 1 || p0.Headers[0] != a {
+		t.Fatalf("page 0 headers = %v, want [a]", p0.Headers)
 	}
-	if len(p1.HeaderIDs) != 1 || p1.HeaderIDs[0] != b.ID {
-		t.Fatalf("page 1 headers = %v, want [b]", p1.HeaderIDs)
+	if len(p1.Headers) != 1 || p1.Headers[0] != b {
+		t.Fatalf("page 1 headers = %v, want [b]", p1.Headers)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestMarkNoNeedPages(t *testing.T) {
 	a := mustAlloc(t, h, r, 64)
 	dead := mustAlloc(t, h, r, 8192) // pages 0..2 (offset 64..8255)
 	_ = dead
-	if err := h.AddRoot(a.ID); err != nil {
+	if err := h.AddRoot(a); err != nil {
 		t.Fatal(err)
 	}
 	live := h.Trace()
@@ -172,33 +172,33 @@ func TestRandomOpsRemsetInvariantProperty(t *testing.T) {
 				}
 			case op == 1: // link
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
-				if h.Object(a.ID) != nil && h.Object(b.ID) != nil {
-					_ = h.Link(a.ID, b.ID)
+				if !a.Freed() && !b.Freed() {
+					_ = h.Link(a, b)
 				}
 			case op == 2: // unlink (may fail; fine)
 				a, b := objs[rng.Intn(len(objs))], objs[rng.Intn(len(objs))]
-				if h.Object(a.ID) != nil && h.Object(b.ID) != nil {
-					_ = h.Unlink(a.ID, b.ID)
+				if !a.Freed() && !b.Freed() {
+					_ = h.Unlink(a, b)
 				}
 			case op == 3: // evacuate
 				o := objs[rng.Intn(len(objs))]
 				r := regions[rng.Intn(len(regions))]
-				if h.Object(o.ID) != nil && o.Region != r.ID() {
+				if !o.Freed() && o.Region != r.ID() {
 					_ = h.Evacuate(o, r)
 				}
 			case op == 4: // root toggle
 				o := objs[rng.Intn(len(objs))]
-				if h.Object(o.ID) == nil {
+				if o.Freed() {
 					continue
 				}
 				if o.IsRoot() {
-					_ = h.RemoveRoot(o.ID)
+					_ = h.RemoveRoot(o)
 				} else {
-					_ = h.AddRoot(o.ID)
+					_ = h.AddRoot(o)
 				}
 			case op == 5: // remove an unrooted object
 				o := objs[rng.Intn(len(objs))]
-				if h.Object(o.ID) != nil && !o.IsRoot() {
+				if !o.Freed() && !o.IsRoot() {
 					h.Remove(o)
 				}
 			}
@@ -212,8 +212,8 @@ func TestRandomOpsRemsetInvariantProperty(t *testing.T) {
 			return false
 		}
 		ls := h.Trace()
-		for _, id := range ls.IDs() {
-			if h.Object(id) == nil {
+		for _, obj := range ls.objs {
+			if obj.Freed() {
 				t.Logf("seed %d: trace returned removed object", seed)
 				return false
 			}

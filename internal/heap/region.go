@@ -96,25 +96,6 @@ func (r *Region) removeResident(obj *Object) {
 // before removing the current object.
 func (r *Region) FirstResident() *Object { return r.head }
 
-// Residents returns the ids of all objects stored in the region, in
-// insertion order. The slice is freshly allocated; callers may keep it
-// across heap mutations.
-func (r *Region) Residents() []ObjectID {
-	out := make([]ObjectID, 0, r.residents)
-	for obj := r.head; obj != nil; obj = obj.next {
-		out = append(out, obj.ID)
-	}
-	return out
-}
-
-// EachResident calls f for every object currently stored in the region, in
-// insertion order. The callback must not mutate the heap.
-func (r *Region) EachResident(f func(*Object)) {
-	for obj := r.head; obj != nil; obj = obj.next {
-		f(obj)
-	}
-}
-
 // fits reports whether size more bytes fit in the region.
 func (r *Region) fits(size, regionSize uint32) bool {
 	return r.used+size <= regionSize && size <= regionSize

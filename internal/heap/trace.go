@@ -1,9 +1,6 @@
 package heap
 
-import (
-	"slices"
-	"sort"
-)
+import "slices"
 
 // RegionLiveness summarizes what a trace found live inside one region.
 type RegionLiveness struct {
@@ -30,14 +27,7 @@ type LiveSet struct {
 	Edges   uint64
 }
 
-// Contains reports whether the object with the given id was reachable.
-func (ls *LiveSet) Contains(id ObjectID) bool {
-	obj := ls.h.objects[id]
-	return obj != nil && obj.mark == ls.epoch
-}
-
-// Marked reports whether an already-resolved object was reachable, skipping
-// the id lookup on hot collector paths.
+// Marked reports whether obj was reachable.
 func (ls *LiveSet) Marked(obj *Object) bool { return obj.mark == ls.epoch }
 
 // Region returns the liveness summary for one region. The summary is stored
@@ -49,17 +39,6 @@ func (ls *LiveSet) Region(id RegionID) RegionLiveness {
 		return RegionLiveness{}
 	}
 	return RegionLiveness{Objects: r.liveObjects, Bytes: r.liveBytes}
-}
-
-// IDs returns the reachable object ids in ascending order. The slice is
-// freshly allocated.
-func (ls *LiveSet) IDs() []ObjectID {
-	out := make([]ObjectID, len(ls.objs))
-	for i, obj := range ls.objs {
-		out[i] = obj.ID
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Trace performs a full breadth-first traversal from the root set and
@@ -152,20 +131,20 @@ func (h *Heap) MarkNoNeedPages(live *LiveSet) {
 // (region, index) order. Freed regions are skipped: their memory is
 // unmapped from the dumper's point of view.
 //
-// The HeaderIDs slice passed to f aliases the page table and is only valid
+// The Headers slice passed to f aliases the page table and is only valid
 // for the duration of the callback: callers that keep header ids (the
-// dumpers) must copy the slice. Ids appear in placement order, which is
+// dumpers) must copy them out. Objects appear in placement order, which is
 // deterministic because the whole simulation is.
 func (h *Heap) Pages(f func(PageState)) {
 	for _, rid := range h.activeIDs {
 		rp := h.regions[rid].pages
 		for i := uint32(0); i < rp.n; i++ {
 			f(PageState{
-				Key:       PageKey{Region: rid, Index: i},
-				Dirty:     rp.flags.dirty.get(i),
-				NoNeed:    rp.flags.noNeed.get(i),
-				HeaderIDs: rp.headers[i],
-				Occupied:  rp.coverage[i] > 0,
+				Key:      PageKey{Region: rid, Index: i},
+				Dirty:    rp.flags.dirty.get(i),
+				NoNeed:   rp.flags.noNeed.get(i),
+				Headers:  rp.headers[i],
+				Occupied: rp.coverage[i] > 0,
 			})
 		}
 	}
@@ -194,13 +173,14 @@ func (h *Heap) ActiveRegionIDs() []RegionID {
 // maintenance in Link/Unlink/Evacuate/Remove.
 func (h *Heap) CheckRemsetInvariant() []RegionID {
 	want := make(map[RegionID]int)
-	for _, obj := range h.objects {
-		objRegion := obj.Region
-		obj.refs.each(func(child *Object, n int32) {
-			if child.Region != objRegion {
-				want[child.Region] += int(n)
-			}
-		})
+	for _, r := range h.regions {
+		for obj := r.head; obj != nil; obj = obj.next {
+			obj.refs.each(func(child *Object, n int32) {
+				if child.Region != obj.Region {
+					want[child.Region] += int(n)
+				}
+			})
+		}
 	}
 	var bad []RegionID
 	for id, r := range h.regions {
@@ -208,7 +188,7 @@ func (h *Heap) CheckRemsetInvariant() []RegionID {
 			bad = append(bad, id)
 		}
 	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
+	slices.Sort(bad)
 	return bad
 }
 
@@ -221,36 +201,28 @@ func (h *Heap) CheckPageInvariant() []RegionID {
 	for id, r := range h.regions {
 		rp := r.pages
 		coverage := make([]uint16, rp.n)
-		headers := make(map[uint32]map[ObjectID]struct{})
+		headers := make([][]*Object, rp.n)
 		for obj := r.head; obj != nil; obj = obj.next {
 			first, last := obj.pageSpan(h.cfg.PageSize)
 			for i := first; i <= last && i < rp.n; i++ {
 				coverage[i]++
 			}
 			hp := obj.headerPage(h.cfg.PageSize)
-			if headers[hp] == nil {
-				headers[hp] = make(map[ObjectID]struct{})
-			}
-			headers[hp][obj.ID] = struct{}{}
+			headers[hp] = append(headers[hp], obj)
 		}
-		ok := true
+		ok := slices.Equal(coverage, rp.coverage[:rp.n])
 		for i := uint32(0); i < rp.n && ok; i++ {
-			if coverage[i] != rp.coverage[i] {
-				ok = false
-			}
-			if len(headers[i]) != len(rp.headers[i]) {
-				ok = false
-			}
-			for _, hid := range rp.headers[i] {
-				if _, present := headers[i][hid]; !present {
-					ok = false
-				}
+			// The rebuilt list holds each resident once, so equal
+			// lengths plus containment make the lists permutations.
+			ok = len(headers[i]) == len(rp.headers[i])
+			for _, o := range headers[i] {
+				ok = ok && slices.Contains(rp.headers[i], o)
 			}
 		}
 		if !ok {
 			bad = append(bad, id)
 		}
 	}
-	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
+	slices.Sort(bad)
 	return bad
 }
